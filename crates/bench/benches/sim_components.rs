@@ -16,12 +16,20 @@ fn bench_coalescer(c: &mut Criterion) {
     group.throughput(Throughput::Elements(32));
     let contiguous: Vec<(u64, u8)> = (0..32).map(|i| (4096 + i * 8, 8)).collect();
     let scattered: Vec<(u64, u8)> = (0..32).map(|i| (4096 + i * 576, 8)).collect();
+    // Lanes cycle over four lines 1 KB apart, so every line recurs four
+    // lanes later and the lines arrive out of order.
+    let interleaved: Vec<(u64, u8)> = (0..32)
+        .map(|i| (4096 + (i % 4) * 1024 + i / 4 * 8, 8))
+        .collect();
     let mut buf = [(0, 0); LINE_BUFFER_LEN];
     group.bench_function("contiguous_warp", |b| {
         b.iter(|| sector_requests(coalesce(&contiguous, 128, 32, &mut buf)))
     });
     group.bench_function("scattered_warp", |b| {
         b.iter(|| sector_requests(coalesce(&scattered, 128, 32, &mut buf)))
+    });
+    group.bench_function("interleaved_warp", |b| {
+        b.iter(|| sector_requests(coalesce(&interleaved, 128, 32, &mut buf)))
     });
     group.finish();
 }
@@ -58,6 +66,28 @@ fn bench_cache(c: &mut Criterion) {
             let mut misses = 0;
             for i in 0..1024u64 {
                 misses += cache.access(i * 128, 0b1111).sector_misses;
+            }
+            misses
+        })
+    });
+    // The `table1-l16` device's L2: 2.5 MB, 16 ways, 1280 sets, fed a
+    // pseudo-random walk over 8x its capacity, so most accesses miss.
+    group.bench_function("l2_table1_miss_stream", |b| {
+        let mut cache = Cache::new(CacheConfig {
+            capacity: 2560 * 1024,
+            line_bytes: 128,
+            sector_bytes: 32,
+            ways: 16,
+        });
+        let lines = 8 * 1280 * 16;
+        let mut x = 1u64;
+        b.iter(|| {
+            let mut misses = 0;
+            for _ in 0..1024 {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                misses += cache.access((x >> 33) % lines * 128, 0b0011).sector_misses;
             }
             misses
         })

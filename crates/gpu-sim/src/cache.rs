@@ -81,45 +81,59 @@ impl CacheStats {
     }
 }
 
-#[derive(Copy, Clone)]
-struct LineState {
-    /// Line base address, or u64::MAX when invalid.
-    tag: u64,
-    /// Bitmask of resident sectors.
-    sectors: u8,
-    /// Bitmask of dirty sectors (written, not yet flushed below).
-    dirty: u8,
-    /// LRU timestamp.
-    stamp: u64,
-}
-
-const INVALID: u64 = u64::MAX;
-
 /// A sectored set-associative cache.
+///
+/// Way `w` of set `s` lives at index `s * ways + w` of four parallel
+/// arrays.  The empty state is all zero bytes: a way's tag is its line
+/// address plus one, so 0 marks an invalid way, and its stamp (the
+/// access clock at its last touch) is 0 exactly while it is invalid.
 pub struct Cache {
     cfg: CacheConfig,
     sets: u64,
-    lines: Vec<LineState>,
+    ways: usize,
+    line_shift: u32,
+    /// `ceil(2^64 / sets)` (wrapped to 0 for one set): the multiplier
+    /// of the exact `% sets` in [`set_of`](Self::set_of).
+    set_magic: u64,
+    /// Line indices below this take the multiply; 0 when `sets` needs
+    /// more than 32 bits, so every index falls back to `%`.
+    magic_limit: u64,
+    tags: Vec<u64>,
+    /// Bitmask of resident sectors.
+    sectors: Vec<u8>,
+    /// Bitmask of dirty sectors (written, not yet flushed below).
+    dirty: Vec<u8>,
+    stamps: Vec<u64>,
     clock: u64,
     stats: CacheStats,
 }
 
 impl Cache {
     /// Build a cache from a configuration.
+    ///
+    /// Panics unless `line_bytes` is a power of two and `ways` is
+    /// positive ([`DeviceSpec::validate`](crate::DeviceSpec::validate)
+    /// checks both for a device's caches).
     pub fn new(cfg: CacheConfig) -> Self {
+        assert!(
+            cfg.line_bytes.is_power_of_two(),
+            "cache line_bytes {} must be a power of two",
+            cfg.line_bytes
+        );
+        assert!(cfg.ways > 0, "cache ways must be positive");
         let sets = cfg.sets();
+        let lines = (sets * cfg.ways as u64) as usize;
         Self {
             cfg,
             sets,
-            lines: vec![
-                LineState {
-                    tag: INVALID,
-                    sectors: 0,
-                    dirty: 0,
-                    stamp: 0
-                };
-                (sets * cfg.ways as u64) as usize
-            ],
+            ways: cfg.ways as usize,
+            line_shift: cfg.line_bytes.trailing_zeros(),
+            set_magic: (u64::MAX / sets).wrapping_add(1),
+            magic_limit: if sets <= u32::MAX as u64 { 1 << 32 } else { 0 },
+            tags: vec![0; lines],
+            sectors: vec![0; lines],
+            dirty: vec![0; lines],
+            stamps: vec![0; lines],
             clock: 0,
             stats: CacheStats::default(),
         }
@@ -137,21 +151,30 @@ impl Cache {
 
     /// Clear contents and statistics.
     pub fn reset(&mut self) {
-        for l in &mut self.lines {
-            *l = LineState {
-                tag: INVALID,
-                sectors: 0,
-                dirty: 0,
-                stamp: 0,
-            };
-        }
+        self.tags.fill(0);
+        self.sectors.fill(0);
+        self.dirty.fill(0);
+        self.stamps.fill(0);
         self.clock = 0;
         self.stats = CacheStats::default();
     }
 
+    /// First way of the set holding `line_addr`.
+    ///
+    /// `(line_addr / line_bytes) % sets`, without a divide: for a line
+    /// index `n < 2^32` and `sets < 2^32`, the low 64 bits of
+    /// `set_magic * n`, times `sets`, shifted down 64 bits, is exactly
+    /// `n % sets` (Lemire, Kaser and Kurz, "Faster remainder by direct
+    /// computation", 2019).
     #[inline]
-    fn set_of(&self, line_addr: u64) -> u64 {
-        (line_addr / self.cfg.line_bytes as u64) % self.sets
+    fn set_of(&self, line_addr: u64) -> usize {
+        let n = line_addr >> self.line_shift;
+        let set = if n < self.magic_limit {
+            ((self.set_magic.wrapping_mul(n) as u128 * self.sets as u128) >> 64) as u64
+        } else {
+            n % self.sets
+        };
+        set as usize * self.ways
     }
 
     /// Access one line with a mask of requested sectors (read).  Returns
@@ -176,42 +199,46 @@ impl Cache {
         let requested = sector_mask.count_ones();
         self.stats.sector_requests += requested as u64;
 
-        let ways = self.cfg.ways as usize;
-        let base = (self.set_of(line_addr) * ways as u64) as usize;
-        let set = &mut self.lines[base..base + ways];
+        let base = self.set_of(line_addr);
+        let set = base..base + self.ways;
+        let tag = line_addr.wrapping_add(1);
 
-        // Tag lookup.
-        if let Some(line) = set.iter_mut().find(|l| l.tag == line_addr) {
-            let missed_mask = sector_mask & !line.sectors;
-            let hits = (sector_mask & line.sectors).count_ones();
+        if let Some(way) = self.tags[set.clone()].iter().position(|&t| t == tag) {
+            let i = base + way;
+            let resident = self.sectors[i];
+            let hits = (sector_mask & resident).count_ones();
             let misses = requested - hits;
-            line.sectors |= sector_mask;
+            self.sectors[i] = resident | sector_mask;
             if write {
-                line.dirty |= sector_mask;
+                self.dirty[i] |= sector_mask;
             }
-            line.stamp = self.clock;
+            self.stamps[i] = self.clock;
             self.stats.sector_misses += misses as u64;
             return CacheOutcome {
                 sector_hits: hits,
                 sector_misses: misses,
-                missed_mask,
+                missed_mask: sector_mask & !resident,
                 tag_hit: true,
             };
         }
 
-        // Tag miss: victim = invalid line if any, else LRU.
-        let victim = set
-            .iter_mut()
-            .min_by_key(|l| if l.tag == INVALID { 0 } else { l.stamp })
-            .expect("cache set cannot be empty");
-        if victim.tag != INVALID {
+        // Tag miss.  Invalid ways have stamp 0 and valid ones at least
+        // 1, so the first minimum stamp is the first invalid way if any,
+        // else the least recently used.
+        let (way, _) = self.stamps[set]
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, &stamp)| stamp)
+            .expect("a set has at least one way");
+        let i = base + way;
+        if self.tags[i] != 0 {
             self.stats.evictions += 1;
-            self.stats.writeback_sectors += victim.dirty.count_ones() as u64;
+            self.stats.writeback_sectors += self.dirty[i].count_ones() as u64;
         }
-        victim.tag = line_addr;
-        victim.sectors = sector_mask;
-        victim.dirty = if write { sector_mask } else { 0 };
-        victim.stamp = self.clock;
+        self.tags[i] = tag;
+        self.sectors[i] = sector_mask;
+        self.dirty[i] = if write { sector_mask } else { 0 };
+        self.stamps[i] = self.clock;
         self.stats.sector_misses += requested as u64;
         CacheOutcome {
             sector_hits: 0,

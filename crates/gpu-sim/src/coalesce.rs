@@ -13,7 +13,7 @@ use crate::device::DeviceSpec;
 /// lines of at least [`DeviceSpec::MIN_LINE_BYTES`] = 128 bytes.
 pub const LINE_BUFFER_LEN: usize = DeviceSpec::MAX_WARP_SIZE as usize * 3;
 
-/// Caller-owned scratch [`coalesce`] fills with `(line base, sector
+/// Caller-owned scratch the coalescer fills with `(line base, sector
 /// mask)` pairs, so a warp replay allocates nothing per instruction.
 pub type LineBuffer = [(u64, u8); LINE_BUFFER_LEN];
 
@@ -56,49 +56,113 @@ pub fn coalesce<'o>(
         accesses.len(),
         DeviceSpec::MAX_WARP_SIZE
     );
-    assert!(
-        line_bytes.is_power_of_two() && line_bytes >= DeviceSpec::MIN_LINE_BYTES,
-        "coalesce: line_bytes {line_bytes} must be a power of two >= {}",
-        DeviceSpec::MIN_LINE_BYTES
-    );
-    assert!(
-        sector_bytes.is_power_of_two()
-            && sector_bytes <= line_bytes
-            && line_bytes / sector_bytes <= 8,
-        "coalesce: sector_bytes {sector_bytes} must be a power of two, 1 to 8 per line"
-    );
-    let line_mask = !(line_bytes as u64 - 1);
-    let sector_shift = sector_bytes.trailing_zeros();
-    // A warp touches few lines, so an insertion-sorted array beats a hash
-    // map.  About 3/4 of lookups in the Table I and CG workloads hit or
-    // append past the last line, so it is tried before a binary search.
-    let mut len = 0;
+    let mut lines = Coalescer::new(line_bytes, sector_bytes, out);
     for &(addr, bytes) in accesses {
-        let mut a = addr;
-        let end = addr + bytes as u64;
-        while a < end {
-            let line = a & line_mask;
-            let sector = ((a - line) >> sector_shift) as u8;
-            let sorted = &mut out[..len];
-            let found = match sorted.last() {
-                Some(&(last, _)) if last == line => Ok(len - 1),
-                Some(&(last, _)) if last > line => sorted.binary_search_by_key(&line, |&(l, _)| l),
-                _ => Err(len),
-            };
-            match found {
-                Ok(idx) => sorted[idx].1 |= 1 << sector,
-                Err(idx) => {
-                    out.copy_within(idx..len, idx + 1);
-                    out[idx] = (line, 1 << sector);
-                    len += 1;
-                }
-            }
-            // Advance to the next sector boundary (an access can straddle
-            // sectors and even lines if unaligned).
-            a = line + ((sector as u64 + 1) << sector_shift);
+        lines.push(addr, bytes);
+    }
+    lines.finish()
+}
+
+/// One warp instruction's coalescing in progress: the replayer pushes
+/// each active lane's access as it reads the lane's event, then takes
+/// the lines with [`finish`](Self::finish).
+///
+/// Lines are appended in lane order, each merged into the previous one
+/// when they match.  Most instructions visit lines in ascending order
+/// and are done at that point; the rest (lanes interleaving a few
+/// ascending address streams) are sorted and merged once, at the end.
+pub(crate) struct Coalescer<'o> {
+    out: &'o mut LineBuffer,
+    len: usize,
+    ascending: bool,
+    line_mask: u64,
+    sector_shift: u32,
+}
+
+impl<'o> Coalescer<'o> {
+    /// An empty coalescing into `out`, for the geometry [`coalesce`]
+    /// admits; at most [`DeviceSpec::MAX_WARP_SIZE`] accesses may be
+    /// pushed.
+    pub(crate) fn new(line_bytes: u32, sector_bytes: u32, out: &'o mut LineBuffer) -> Self {
+        assert!(
+            line_bytes.is_power_of_two() && line_bytes >= DeviceSpec::MIN_LINE_BYTES,
+            "coalesce: line_bytes {line_bytes} must be a power of two >= {}",
+            DeviceSpec::MIN_LINE_BYTES
+        );
+        assert!(
+            sector_bytes.is_power_of_two()
+                && sector_bytes <= line_bytes
+                && line_bytes / sector_bytes <= 8,
+            "coalesce: sector_bytes {sector_bytes} must be a power of two, 1 to 8 per line"
+        );
+        Self {
+            out,
+            len: 0,
+            ascending: true,
+            line_mask: !(line_bytes as u64 - 1),
+            sector_shift: sector_bytes.trailing_zeros(),
         }
     }
-    &out[..len]
+
+    /// Add one lane's `bytes`-wide access at `addr`, sector by sector
+    /// (an unaligned access can straddle sectors and even lines).
+    #[inline]
+    pub(crate) fn push(&mut self, addr: u64, bytes: u8) {
+        let end = addr + bytes as u64;
+        let mut a = addr;
+        while a < end {
+            let line = a & self.line_mask;
+            let sector = (a - line) >> self.sector_shift;
+            self.append(line, 1 << sector);
+            a = line + ((sector + 1) << self.sector_shift);
+        }
+    }
+
+    #[inline]
+    fn append(&mut self, line: u64, mask: u8) {
+        if let Some(prev) = self.len.checked_sub(1).map(|i| &mut self.out[i]) {
+            if prev.0 == line {
+                prev.1 |= mask;
+                return;
+            }
+            self.ascending &= prev.0 < line;
+        }
+        self.out[self.len] = (line, mask);
+        self.len += 1;
+    }
+
+    /// The unique `(line base, sector mask)` pairs in ascending line
+    /// order, one per tag request.
+    pub(crate) fn finish(self) -> &'o [(u64, u8)] {
+        let Self {
+            out,
+            len,
+            ascending,
+            ..
+        } = self;
+        if ascending {
+            return &out[..len];
+        }
+        // Insertion sort that merges each line into an equal one already
+        // placed, so only the unique lines (typically a third of the
+        // appended ones) are ever shifted.
+        let mut unique = 1;
+        for i in 1..len {
+            let (line, mask) = out[i];
+            let mut at = unique;
+            while at > 0 && out[at - 1].0 > line {
+                at -= 1;
+            }
+            if at > 0 && out[at - 1].0 == line {
+                out[at - 1].1 |= mask;
+            } else {
+                out.copy_within(at..unique, at + 1);
+                out[at] = (line, mask);
+                unique += 1;
+            }
+        }
+        &out[..unique]
+    }
 }
 
 #[cfg(test)]

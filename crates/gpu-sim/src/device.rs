@@ -74,8 +74,8 @@ impl DeviceSpec {
     /// touches at most 3 lines, which bounds the coalescer's buffer.
     pub const MIN_LINE_BYTES: u32 = 128;
 
-    /// Check the geometry limits the warp replayer relies on, so that an
-    /// unsupported device fails the launch with
+    /// Check the geometry limits the warp replayer and the caches rely
+    /// on, so that an unsupported device fails the launch with
     /// [`SimError::InvalidDevice`] instead of panicking mid-replay.
     ///
     /// ```
@@ -91,6 +91,19 @@ impl DeviceSpec {
                 value: 0,
                 requirement: "in 1..=64",
             });
+        }
+        for (field, value) in [
+            ("num_sms", self.num_sms),
+            ("l1_ways", self.l1_ways),
+            ("l2_ways", self.l2_ways),
+        ] {
+            if value == 0 {
+                return Err(SimError::InvalidDevice {
+                    field,
+                    value: 0,
+                    requirement: "positive",
+                });
+            }
         }
         check_geometry(
             self.warp_size as usize,
@@ -287,6 +300,9 @@ mod tests {
         assert_eq!(field(|d| d.shared_banks = 0), "shared_banks");
         assert_eq!(field(|d| d.shared_banks = 65), "shared_banks");
         assert_eq!(field(|d| d.bank_width = 0), "bank_width");
+        assert_eq!(field(|d| d.num_sms = 0), "num_sms");
+        assert_eq!(field(|d| d.l1_ways = 0), "l1_ways");
+        assert_eq!(field(|d| d.l2_ways = 0), "l2_ways");
         // The limits themselves are accepted.
         let edge = DeviceSpec {
             warp_size: 64,

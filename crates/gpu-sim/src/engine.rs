@@ -48,6 +48,9 @@ pub struct DeviceState {
 
 impl DeviceState {
     /// Fresh (cold) state for a device.
+    ///
+    /// Panics if the device's cache geometry fails
+    /// [`DeviceSpec::validate`].
     pub fn new(device: &DeviceSpec) -> Self {
         let l1_cfg = CacheConfig {
             capacity: device.l1_bytes as u64,
@@ -195,6 +198,8 @@ impl<'d> Launcher<'d> {
         range: NdRange,
         mem: &DeviceMemory,
     ) -> Result<LaunchReport, SimError> {
+        // Before the caches are built: they assume a valid geometry.
+        self.device.validate()?;
         let mut state = DeviceState::new(self.device);
         self.launch_with_state(kernel, range, mem, &mut state)
     }
@@ -635,7 +640,10 @@ mod tests {
             n: 512,
         };
         type BreakGeometry = fn(&mut DeviceSpec);
-        let bad: [(&str, BreakGeometry); 7] = [
+        let bad: [(&str, BreakGeometry); 10] = [
+            ("num_sms", |d| d.num_sms = 0),
+            ("l1_ways", |d| d.l1_ways = 0),
+            ("l2_ways", |d| d.l2_ways = 0),
             ("warp_size", |d| d.warp_size = 0),
             ("warp_size", |d| d.warp_size = 128),
             ("shared_banks", |d| d.shared_banks = 0),

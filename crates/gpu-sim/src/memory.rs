@@ -149,18 +149,27 @@ impl DeviceMemory {
             .collect()
     }
 
-    /// Mark `[addr, addr + bytes)` as initialized.
+    /// Mark `[addr, addr + bytes)` as initialized: one `fetch_or` per
+    /// bitmap word, skipped when the word already has every bit set.
+    /// Bits are never cleared, so the skip loses no update.
     #[inline]
     fn mark_init(&self, addr: u64, bytes: u64) {
         if addr < BASE_ADDR {
             return;
         }
-        let start = (addr - BASE_ADDR) / 4;
+        let mut g = (addr - BASE_ADDR) / 4;
         let end = (addr - BASE_ADDR + bytes).div_ceil(4);
-        for g in start..end {
-            if let Some(cell) = self.init.get((g / 64) as usize) {
-                cell.fetch_or(1 << (g % 64), Ordering::Relaxed);
+        while g < end {
+            let word = g / 64;
+            let Some(cell) = self.init.get(word as usize) else {
+                return; // past the arena, as is every later granule
+            };
+            let (lo, hi) = (g % 64, (end - word * 64).min(64));
+            let bits = (u64::MAX >> (64 - (hi - lo))) << lo;
+            if cell.load(Ordering::Relaxed) & bits != bits {
+                cell.fetch_or(bits, Ordering::Relaxed);
             }
+            g = (word + 1) * 64;
         }
     }
 
@@ -270,16 +279,18 @@ impl DeviceMemory {
         }
     }
 
-    /// Zero-fill a buffer.
+    /// Zero-fill a buffer (the whole words it touches inside the arena).
     pub fn zero(&self, buf: &Buffer) {
-        let mut addr = buf.base & !7;
-        while addr < buf.base + buf.len {
-            if addr >= BASE_ADDR && addr < self.next {
-                self.word(addr).store(0, Ordering::Relaxed);
-                self.mark_init(addr, 8);
-            }
-            addr += 8;
+        let start = (buf.base & !7).max(BASE_ADDR);
+        let end = (buf.base + buf.len).min(self.next).next_multiple_of(8);
+        if start >= end {
+            return;
         }
+        let words = ((start - BASE_ADDR) / 8) as usize..((end - BASE_ADDR) / 8) as usize;
+        for cell in &self.words[words] {
+            cell.store(0, Ordering::Relaxed);
+        }
+        self.mark_init(start, end - start);
     }
 }
 
@@ -391,6 +402,41 @@ mod tests {
         assert!(bit(&after, granule(b.addr(20))) && !bit(&after, granule(b.addr(16))));
         assert!(bit(&after, granule(b.addr(32))));
         assert!(!bit(&after, granule(b.addr(0))));
+    }
+
+    proptest::proptest! {
+        /// Word-at-a-time marking sets exactly the bits of a per-granule
+        /// walk, for ranges that start below the arena, are unaligned,
+        /// straddle bitmap words or run past the arena's end.
+        #[test]
+        fn mark_init_matches_a_per_granule_reference(
+            ranges in proptest::collection::vec((0u64..3600, 0u64..600), 1..24)
+        ) {
+            let mut m = DeviceMemory::new();
+            m.alloc(3000, "a");
+            let mut want = vec![0u64; m.init.len()];
+            for (off, bytes) in ranges {
+                let addr = BASE_ADDR - 8 + off;
+                m.mark_init(addr, bytes);
+                if addr >= BASE_ADDR {
+                    for g in (addr - BASE_ADDR) / 4..(addr - BASE_ADDR + bytes).div_ceil(4) {
+                        if let Some(w) = want.get_mut((g / 64) as usize) {
+                            *w |= 1 << (g % 64);
+                        }
+                    }
+                }
+                proptest::prop_assert_eq!(m.init_snapshot(), want.clone());
+            }
+        }
+    }
+
+    #[test]
+    fn zero_marks_the_words_it_clears() {
+        let mut m = DeviceMemory::new();
+        let b = m.alloc(20, "b");
+        m.zero(&b);
+        // 20 bytes round up to three whole words: six granules.
+        assert_eq!(m.init_snapshot()[0], 0b11_1111);
     }
 
     #[test]

@@ -35,7 +35,7 @@
 
 use crate::atomics::model_atomic_instruction;
 use crate::cache::Cache;
-use crate::coalesce::{coalesce, sector_requests, LINE_BUFFER_LEN};
+use crate::coalesce::{sector_requests, Coalescer, LINE_BUFFER_LEN};
 use crate::counters::Counters;
 use crate::device::{check_geometry, DeviceSpec};
 use crate::error::SimError;
@@ -158,6 +158,10 @@ pub(crate) fn walk_warp<S: AsRef<[Event]>, E>(
             if active == 0 {
                 continue; // a predicated-off empty arm
             }
+            // Lanes drop out only where a segment runs out, so the mask
+            // is rebuilt only at the shortest remaining segment.
+            let shortest = |mask| lanes(mask).map(|l| end[l] - start[l]).min();
+            let mut drop_at = shortest(active);
             let mut step = 0;
             while active != 0 {
                 visit(&Issue {
@@ -168,7 +172,10 @@ pub(crate) fn walk_warp<S: AsRef<[Event]>, E>(
                     group,
                 })?;
                 step += 1;
-                active = select(active, |l| end[l] - start[l] > step);
+                if drop_at == Some(step) {
+                    active = select(active, |l| end[l] - start[l] > step);
+                    drop_at = shortest(active);
+                }
             }
             group += 1;
         }
@@ -214,7 +221,6 @@ pub fn replay_warp(streams: &[Vec<Event>], sinks: &mut ReplaySinks<'_>) -> Resul
     let (banks, bank_width) = (sinks.banks, sinks.bank_width);
     check_geometry(streams.len(), line_bytes, sector_bytes, banks, bank_width)?;
     // Per-instruction scratch, reused across the warp.
-    let mut addrs = [(0u64, 0u8); MAX_LANES];
     let mut atomic_addrs = [0u64; MAX_LANES];
     let mut local_accs = [(0u32, 0u8); MAX_LANES];
     let mut line_buf = [(0, 0); LINE_BUFFER_LEN];
@@ -232,18 +238,19 @@ pub fn replay_warp(streams: &[Vec<Event>], sinks: &mut ReplaySinks<'_>) -> Resul
         }
         match *issue.event(issue.leader()) {
             Event::GlobalLoad { .. } | Event::GlobalStore { .. } => {
+                let mut lines = Coalescer::new(line_bytes, sector_bytes, &mut line_buf);
                 let mut is_store = false;
-                for (i, l) in lanes(issue.lanes).enumerate() {
-                    addrs[i] = match *issue.event(l) {
-                        Event::GlobalLoad { addr, bytes } => (addr, bytes),
+                for l in lanes(issue.lanes) {
+                    match *issue.event(l) {
+                        Event::GlobalLoad { addr, bytes } => lines.push(addr, bytes),
                         Event::GlobalStore { addr, bytes } => {
                             is_store = true;
-                            (addr, bytes)
+                            lines.push(addr, bytes);
                         }
                         ref other => return Err(mismatch(l, "global access", other)),
-                    };
+                    }
                 }
-                let lines = coalesce(&addrs[..n], line_bytes, sector_bytes, &mut line_buf);
+                let lines = lines.finish();
                 c.l1_tag_requests_global += lines.len() as u64;
                 c.l1_sector_requests += sector_requests(lines);
                 let access = if is_store {
@@ -265,20 +272,20 @@ pub fn replay_warp(streams: &[Vec<Event>], sinks: &mut ReplaySinks<'_>) -> Resul
                 c.warp_instructions += 1;
             }
             Event::AtomicRmw { .. } => {
+                let mut lines = Coalescer::new(line_bytes, sector_bytes, &mut line_buf);
                 for (i, l) in lanes(issue.lanes).enumerate() {
                     let Event::AtomicRmw { addr, bytes } = *issue.event(l) else {
                         return Err(mismatch(l, "atomic rmw", issue.event(l)));
                     };
                     atomic_addrs[i] = addr;
-                    addrs[i] = (addr, bytes);
+                    lines.push(addr, bytes);
                 }
                 let a = model_atomic_instruction(&mut atomic_addrs[..n]);
                 c.atomic_passes += a.passes;
                 c.atomic_instructions += 1;
                 // Atomics resolve at L2, bypassing L1, and dirty their
                 // sectors (read-modify-write).
-                let lines = coalesce(&addrs[..n], line_bytes, sector_bytes, &mut line_buf);
-                for &(line, mask) in lines {
+                for &(line, mask) in lines.finish() {
                     let o2 = sinks.l2.access_write(line, mask);
                     c.l2_sector_requests += mask.count_ones() as u64;
                     c.l2_sector_misses += o2.sector_misses as u64;

@@ -1,7 +1,8 @@
 //! A warmed `replay_warp` call allocates nothing: this binary installs a
 //! counting global allocator and replays realistic warps — a scattered
 //! global load, a divergent warp with shared-bank conflicts, colliding
-//! atomics and a lockstep error — many times after one warm-up pass.
+//! atomics, lanes visiting lines out of order and a lockstep error —
+//! many times after one warm-up pass.
 
 use gpu_sim::cache::{Cache, CacheConfig};
 use gpu_sim::warp::{replay_warp, ReplaySinks};
@@ -104,7 +105,17 @@ fn warps() -> Vec<Vec<Vec<Event>>> {
             }]
         })
         .collect();
-    vec![scattered, divergent, atomics, undeclared]
+    // Lanes visit four lines in turn, so each line recurs 4 lanes
+    // later: the coalescer sorts and merges.
+    let interleaved = (0..32u64)
+        .map(|lane| {
+            vec![Event::GlobalLoad {
+                addr: (1 << 21) + (lane % 4) * 1024 + lane / 4 * 8,
+                bytes: 8,
+            }]
+        })
+        .collect();
+    vec![scattered, divergent, atomics, interleaved, undeclared]
 }
 
 #[test]

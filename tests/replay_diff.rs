@@ -6,8 +6,9 @@
 //! The generated warps cover what the alignment and per-instruction
 //! models special-case: ragged early returns, multi-segment divergent
 //! paths with empty arms, 4/8/16-byte accesses straddling sectors and
-//! lines, colliding atomics, mixed-width shared accesses with bank
-//! conflicts, and undeclared divergence.
+//! lines, lanes visiting lines out of order (descending, interleaved,
+//! and revisiting lines far apart), colliding atomics, mixed-width
+//! shared accesses with bank conflicts, and undeclared divergence.
 
 mod seed_replay;
 
@@ -75,18 +76,30 @@ fn instruction(rng: &mut Rng, lanes: u64) -> impl Fn(u64) -> Event {
     let mixed = rng.chance(40);
     let wrap = rng.pick(&[1u64, 2, 4, 8, 32]).min(lanes.max(1));
     let n = rng.pick(&[1u32, 2, 3, 18, 66]);
+    // The lane order of global and atomic addresses: half the time
+    // ascending, else descending, two interleaved halves, or a short
+    // cycle that revisits lines far apart — the coalescer's sort path.
+    let order = rng.pick(&[0u64, 0, 0, 1, 2, 3]);
+    let cycle = rng.pick(&[2u64, 3, 5]);
+    let slot = move |lane: u64| match order {
+        0 => lane,
+        1 => lanes - 1 - lane,
+        2 => lane / 2 + (lane % 2) * lanes.div_ceil(2),
+        _ => lane % cycle,
+    };
+    let atomic_stride = rng.pick(&[16u64, 16, 200]);
     move |lane: u64| {
         let bytes = if mixed {
             [4u8, 8, 16][(lane % 3) as usize]
         } else {
             width
         };
-        let addr = (1 << 20) + base + lane * stride;
+        let addr = (1 << 20) + base + slot(lane) * stride;
         match kind {
             0 => Event::GlobalLoad { addr, bytes },
             1 => Event::GlobalStore { addr, bytes },
             2 => Event::AtomicRmw {
-                addr: (1 << 22) + base / 8 * 8 + (lane % wrap) * 16,
+                addr: (1 << 22) + base / 8 * 8 + (slot(lane) % wrap) * atomic_stride,
                 bytes: 8,
             },
             3 => Event::LocalLoad {
@@ -247,11 +260,33 @@ proptest! {
     }
 }
 
+/// Whether some warp instruction's lanes, in lane order, visit a line
+/// below one an earlier lane visited (global accesses and atomics of
+/// the same stream position, which straight-line warps align).
+fn visits_lines_out_of_order(streams: &[Vec<Event>], line_bytes: u32) -> bool {
+    let len = streams.iter().map(Vec::len).max().unwrap_or(0);
+    (0..len).any(|i| {
+        let lines = streams.iter().filter_map(|s| match s.get(i) {
+            Some(
+                Event::GlobalLoad { addr, .. }
+                | Event::GlobalStore { addr, .. }
+                | Event::AtomicRmw { addr, .. },
+            ) => Some(addr / line_bytes as u64),
+            _ => None,
+        });
+        let mut highest = 0;
+        lines.fold(false, |seen, line| {
+            highest = highest.max(line);
+            seen || line < highest
+        })
+    })
+}
+
 /// The generator reaches every case the test exists for.
 #[test]
 fn generator_covers_the_special_cases() {
     let (mut errors, mut divergent, mut ragged, mut conflicts, mut collisions) = (0, 0, 0, 0, 0);
-    let mut straddles = 0;
+    let (mut straddles, mut out_of_order) = (0, 0);
     let mut rng = Rng(7);
     for _ in 0..600 {
         let g = Geometry::random(&mut rng);
@@ -269,6 +304,7 @@ fn generator_covers_the_special_cases() {
                     && c.l1_tag_requests_global > 0) as u32;
             }
         }
+        out_of_order += visits_lines_out_of_order(&streams, g.line_bytes) as u32;
         let lens: Vec<usize> = streams.iter().map(Vec::len).collect();
         ragged += (lens.iter().min() != lens.iter().max()) as u32;
     }
@@ -279,6 +315,7 @@ fn generator_covers_the_special_cases() {
         ("bank conflicts", conflicts),
         ("atomic collisions", collisions),
         ("multi-sector accesses", straddles),
+        ("out-of-order line visits", out_of_order),
     ] {
         assert!(n >= 10, "only {n} of 600 random warps have {what}");
     }
